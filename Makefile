@@ -78,6 +78,7 @@ ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/par ./internal/serve ./internal/load ./internal/seicore ./internal/nn ./internal/vecf
+	$(GO) test -race -run 'WorkerCount|Workers' ./internal/quant
 	$(GO) test -count=1 -run TestServeSmokeSIGTERM ./cmd/seiserve
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/seibench run -quick

@@ -141,23 +141,29 @@ func (n *Network) Ops(in []int) int64 {
 
 // Softmax returns the softmax of a logits vector, computed stably.
 func Softmax(logits []float64) []float64 {
+	out := make([]float64, len(logits))
+	SoftmaxInto(out, logits)
+	return out
+}
+
+// SoftmaxInto is Softmax into the caller-provided dst (len(logits)),
+// with the same arithmetic, so hot loops can reuse one buffer.
+func SoftmaxInto(dst, logits []float64) {
 	max := math.Inf(-1)
 	for _, v := range logits {
 		if v > max {
 			max = v
 		}
 	}
-	out := make([]float64, len(logits))
 	sum := 0.0
 	for i, v := range logits {
 		e := math.Exp(v - max)
-		out[i] = e
+		dst[i] = e
 		sum += e
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range dst {
+		dst[i] /= sum
 	}
-	return out
 }
 
 // CrossEntropyLoss returns the softmax cross-entropy loss and the

@@ -10,7 +10,8 @@ package quant
 // pass per (sample, candidate) pair. The engine exploits the crossing
 // invariant instead: a stage output bit is on iff its analog value v
 // exceeds t, so as t ascends bits only ever turn off, exactly when t
-// crosses v. Sorting each sample's stage outputs once yields the full
+// crosses v. Sorting each sample's crossing window once — the outputs
+// in (t₁, t_last], the only ones that can cross — yields the full
 // crossing schedule; between consecutive candidates with no crossing
 // (the common case — the paper's Table 1 long-tail observation) the
 // bitmap, hence the prediction, is provably unchanged and the
@@ -34,10 +35,10 @@ package quant
 // count.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
-	"sei/internal/bitvec"
 	"sei/internal/obs"
 	"sei/internal/par"
 	"sei/internal/tensor"
@@ -96,17 +97,20 @@ func newCrossSweep(outShape []int, pool int, fcW *tensor.Tensor, fcB []float64, 
 }
 
 // sweepArena is one goroutine's scratch for sweeping samples: the
-// sorted crossing schedule, the packed bitmap, the pool-window live
-// counts, the remainder input, and the incrementally maintained
-// classifier scores.
+// windowed crossing schedule, the pool-window live counts, the
+// remainder input, and the incrementally maintained classifier scores.
 type sweepArena struct {
-	order   []int32     // stage-output indices, ascending by (value, index)
-	vals    []float64   // the values in that order
-	bits    *bitvec.Vec // packed binarization at the current candidate
-	cnt     []int32     // live bits per pool window (pool > 1 only)
+	sched   []crossing // window entries, ascending by (value, index)
+	cnt     []int32    // live bits per pool window (pool > 1 only)
 	rem     *tensor.Tensor
 	y       []float64 // classifier scores (last stage only)
 	remEval func(*tensor.Tensor) int
+}
+
+// crossing is one schedule entry: a stage output's value and index.
+type crossing struct {
+	v float64
+	j int32
 }
 
 func (s *crossSweep) getArena() *sweepArena {
@@ -114,9 +118,7 @@ func (s *crossSweep) getArena() *sweepArena {
 		return a
 	}
 	a := &sweepArena{
-		order: make([]int32, s.outLen),
-		vals:  make([]float64, s.outLen),
-		bits:  bitvec.New(s.outLen),
+		sched: make([]crossing, 0, s.outLen),
 		rem:   tensor.New(s.remShape...),
 	}
 	if s.pool > 1 {
@@ -187,50 +189,37 @@ func (s *crossSweep) run(values [][]float64, labels []int, ts []float64, workers
 // sweepSample scores one sample against the full ascending candidate
 // list using its crossing schedule.
 func (s *crossSweep) sweepSample(a *sweepArena, data []float64, label int, ts []float64, out *sweepChunk) {
-	n := len(data)
-	order := a.order[:n]
-	for j := range order {
-		order[j] = int32(j)
+	// Seed state at the first candidate — pool-window live counts and
+	// the pooled remainder input — and collect the crossing window: only
+	// values in (ts[0], ts[last]] ever cross. Values at or below ts[0]
+	// are off from the start; values above ts[last] stay on throughout.
+	t0, hi := ts[0], ts[len(ts)-1]
+	remData := a.rem.Data()
+	clear(remData)
+	clear(a.cnt)
+	sched := a.sched[:0]
+	for j, v := range data {
+		if !(v > t0) {
+			continue
+		}
+		if v <= hi {
+			sched = append(sched, crossing{v, int32(j)})
+		}
+		ri := j
+		if s.pool > 1 {
+			if ri = s.pooledIndex(j); ri < 0 {
+				continue
+			}
+			a.cnt[ri]++
+		}
+		remData[ri] = 1
 	}
 	// Total order (value, index): equal values cross in deterministic
 	// index order, keeping last-stage delta updates order-stable.
-	sort.Slice(order, func(x, y int) bool {
-		vx, vy := data[order[x]], data[order[y]]
-		if vx != vy {
-			return vx < vy
-		}
-		return order[x] < order[y]
+	slices.SortFunc(sched, func(x, y crossing) int {
+		return cmp.Or(cmp.Compare(x.v, y.v), cmp.Compare(x.j, y.j))
 	})
-	vals := a.vals[:n]
-	for j, id := range order {
-		vals[j] = data[id]
-	}
 
-	// Seed state at the first candidate: packed bitmap, pool-window
-	// live counts, pooled remainder input, and one full remainder
-	// evaluation.
-	t0 := ts[0]
-	a.bits.SetAbove(data, t0)
-	remData := a.rem.Data()
-	for i := range remData {
-		remData[i] = 0
-	}
-	if s.pool > 1 {
-		cnt := a.cnt
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for j := a.bits.NextSet(0); j >= 0; j = a.bits.NextSet(j + 1) {
-			if pi := s.pooledIndex(j); pi >= 0 {
-				cnt[pi]++
-				remData[pi] = 1
-			}
-		}
-	} else {
-		for j := a.bits.NextSet(0); j >= 0; j = a.bits.NextSet(j + 1) {
-			remData[j] = 1
-		}
-	}
 	var pred int
 	if s.last {
 		tensor.MatVecInto(a.y, s.fcW, remData)
@@ -248,25 +237,21 @@ func (s *crossSweep) sweepSample(a *sweepArena, data []float64, label int, ts []
 
 	// p points at the first schedule entry still above the current
 	// candidate; entries before it have crossed (turned off).
-	p := sort.Search(n, func(k int) bool { return vals[k] > t0 })
+	p := 0
 	for c := 1; c < len(ts); c++ {
 		t := ts[c]
 		remChanged := false
-		for p < n && vals[p] <= t {
-			j := int(order[p])
+		for p < len(sched) && sched[p].v <= t {
+			j := int(sched[p].j)
 			p++
-			a.bits.Unset(j)
 			ri := j
 			if s.pool > 1 {
-				pi := s.pooledIndex(j)
-				if pi < 0 {
+				if ri = s.pooledIndex(j); ri < 0 {
 					continue // edge position dropped by the pool
 				}
-				a.cnt[pi]--
-				if a.cnt[pi] != 0 {
+				if a.cnt[ri]--; a.cnt[ri] != 0 {
 					continue // window still populated: OR unchanged
 				}
-				ri = pi
 			}
 			remData[ri] = 0
 			remChanged = true
@@ -312,40 +297,45 @@ func argmaxFirst(y []float64) int {
 // network (bit-identical to floatRemainder), or the FC delta path when
 // l is the last conv stage.
 func newIncrementalSweeper(q *QuantizedNet, l int, convOut []*tensor.Tensor, labels []int, cfg SearchConfig, stats *SweepStats) layerSweeper {
-	outShape := convOut[0].Shape()
-	pool := q.Convs[l].PoolSize
-	var newRem func() func(*tensor.Tensor) int
-	if l < len(q.Convs)-1 {
-		remShape := outShape
-		if pool > 1 {
-			remShape = []int{outShape[0], outShape[1] / pool, outShape[2] / pool}
-		}
-		newRem = newFloatRemainderEval(q, l+1, remShape)
-	}
-	s := newCrossSweep(outShape, pool, q.FC.W, q.FC.B, newRem)
-	values := make([][]float64, len(convOut))
-	for i, t := range convOut {
-		values[i] = t.Data()
-	}
+	s, values := newStageSweep(q, l, convOut, newFloatRemainderEval)
 	return func(ts []float64) []int {
 		return s.run(values, labels, ts, cfg.Workers, cfg.Obs, stats)
 	}
 }
 
-// remStageGeom is the static geometry of one remainder conv stage.
+// newStageSweep wires a crossSweep for conv stage l over per-sample
+// stage outputs. newRem builds the remainder evaluator from stage l+1
+// on for the sweep's remainder shape; the last stage takes the FC
+// delta path instead.
+func newStageSweep(q *QuantizedNet, l int, outs []*tensor.Tensor, newRem func(*QuantizedNet, int, []int) func() func(*tensor.Tensor) int) (*crossSweep, [][]float64) {
+	outShape, pool := outs[0].Shape(), q.Convs[l].PoolSize
+	var rem func() func(*tensor.Tensor) int
+	if l < len(q.Convs)-1 {
+		remShape := outShape
+		if pool > 1 {
+			remShape = []int{outShape[0], outShape[1] / pool, outShape[2] / pool}
+		}
+		rem = newRem(q, l+1, remShape)
+	}
+	values := make([][]float64, len(outs))
+	for i, t := range outs {
+		values[i] = t.Data()
+	}
+	return newCrossSweep(outShape, pool, q.FC.W, q.FC.B, rem), values
+}
+
+// remStageGeom is the static geometry of one float conv stage.
 type remStageGeom struct {
 	kh, kw, stride, pool int
 	fan, positions       int
 	wmat                 *tensor.Tensor // [filters, fan] view of the stage weights (shared, read-only)
-	wdata                []float64      // the same weights flat (binarized path)
 	outShape             []int          // [filters, outH, outW]
 	pooledShape          []int          // nil when pool ≤ 1
-	l                    int
 }
 
 // remainderGeometry chains activation shapes from inShape through conv
-// stages from..end, precomputing the per-stage geometry both remainder
-// evaluators share.
+// stages from..end, precomputing the per-stage geometry of the float
+// remainder (and of Algorithm 1's step-1 convolution).
 func remainderGeometry(q *QuantizedNet, from int, inShape []int) []remStageGeom {
 	var gs []remStageGeom
 	shape := inShape
@@ -358,9 +348,7 @@ func remainderGeometry(q *QuantizedNet, from int, inShape []int) []remStageGeom 
 			kh: kh, kw: kw, stride: c.Stride, pool: c.PoolSize,
 			fan: c.FanIn(), positions: outH * outW,
 			wmat:     c.W.Reshape(c.Filters(), c.FanIn()),
-			wdata:    c.W.Data(),
 			outShape: []int{c.Filters(), outH, outW},
-			l:        l,
 		}
 		shape = g.outShape
 		if c.PoolSize > 1 {
@@ -380,15 +368,13 @@ type remStageBufs struct {
 	pooled      *tensor.Tensor // nil when pool ≤ 1
 }
 
-func newRemStageBufs(gs []remStageGeom, withColsT bool) []remStageBufs {
+func newRemStageBufs(gs []remStageGeom) []remStageBufs {
 	bufs := make([]remStageBufs, len(gs))
 	for i, g := range gs {
 		b := remStageBufs{
-			cols: tensor.New(g.positions, g.fan),
-			out2: tensor.New(g.outShape[0], g.positions),
-		}
-		if withColsT {
-			b.colsT = tensor.New(g.fan, g.positions)
+			cols:  tensor.New(g.positions, g.fan),
+			colsT: tensor.New(g.fan, g.positions),
+			out2:  tensor.New(g.outShape[0], g.positions),
 		}
 		b.out = b.out2.Reshape(g.outShape...)
 		if g.pooledShape != nil {
@@ -397,6 +383,15 @@ func newRemStageBufs(gs []remStageGeom, withColsT bool) []remStageBufs {
 		bufs[i] = b
 	}
 	return bufs
+}
+
+// conv computes the stage's float convolution of x (no ReLU, no pool)
+// into b.out with floatConv's kernels — Im2Col, Transpose2D, ikj
+// MatMul — so the output is bit-identical to floatConv's.
+func (g *remStageGeom) conv(b *remStageBufs, x *tensor.Tensor) {
+	tensor.Im2ColInto(b.cols, x, g.kh, g.kw, g.stride)
+	tensor.Transpose2DInto(b.colsT, b.cols)
+	tensor.MatMulInto(b.out2, g.wmat, b.colsT)
 }
 
 // newFloatRemainderEval returns an arena factory for the float
@@ -409,15 +404,13 @@ func newFloatRemainderEval(q *QuantizedNet, from int, inShape []int) func() func
 	gs := remainderGeometry(q, from, inShape)
 	fcW, fcB := q.FC.W, q.FC.B
 	return func() func(*tensor.Tensor) int {
-		bufs := newRemStageBufs(gs, true)
+		bufs := newRemStageBufs(gs)
 		y := make([]float64, len(fcB))
 		return func(rem *tensor.Tensor) int {
 			x := rem
 			for i, g := range gs {
 				b := &bufs[i]
-				tensor.Im2ColInto(b.cols, x, g.kh, g.kw, g.stride)
-				tensor.Transpose2DInto(b.colsT, b.cols)
-				tensor.MatMulInto(b.out2, g.wmat, b.colsT)
+				g.conv(b, x)
 				d := b.out.Data()
 				for k, v := range d {
 					if v < 0 {
@@ -441,88 +434,16 @@ func newFloatRemainderEval(q *QuantizedNet, from int, inShape []int) func() func
 }
 
 // newBinaryRemainderEval returns an arena factory for the refinement's
-// remainder: the *binarized* pipeline from conv stage `from` on — each
-// stage's analog sums accumulated in digitalEval's skip-zero order,
-// thresholded at the stage's current q.Thresholds value (read at call
-// time, since refinement mutates deeper thresholds between sweeps),
-// OR-pooled, and classified by the FC stage. Predictions are
-// bit-identical to QuantizedNet.Predict's tail.
+// remainder: the *binarized* pipeline from conv stage `from` on, run by
+// classifyFrom with its own stage arena — thresholds read at call time,
+// since refinement mutates deeper thresholds between sweeps — and left
+// uncounted on the hardware counters. Predictions are bit-identical to
+// QuantizedNet.Predict's tail.
 func newBinaryRemainderEval(q *QuantizedNet, from int, inShape []int) func() func(*tensor.Tensor) int {
-	gs := remainderGeometry(q, from, inShape)
-	fcW, fcB := q.FC.W, q.FC.B
 	return func() func(*tensor.Tensor) int {
-		bufs := newRemStageBufs(gs, false)
-		y := make([]float64, len(fcB))
+		a := &stageArena{}
 		return func(rem *tensor.Tensor) int {
-			x := rem
-			for i, g := range gs {
-				b := &bufs[i]
-				binaryConvStageInto(b.out, b.cols, g, x, q.Thresholds[g.l])
-				if g.pool > 1 {
-					orPoolInto(b.pooled, b.out, g.pool)
-					x = b.pooled
-				} else {
-					x = b.out
-				}
-			}
-			tensor.MatVecInto(y, fcW, x.Data())
-			for o, b := range fcB {
-				y[o] += b
-			}
-			return argmaxFirst(y)
-		}
-	}
-}
-
-// binaryConvStageInto evaluates one binarized conv stage into dst
-// ([filters, outH, outW] of 0/1 floats): per receptive field, per
-// filter, the skip-zero dot product of digitalEval.EvalConv, then
-// `sum > t`. cols is the arena's im2col scratch.
-func binaryConvStageInto(dst, cols *tensor.Tensor, g remStageGeom, x *tensor.Tensor, t float64) {
-	tensor.Im2ColInto(cols, x, g.kh, g.kw, g.stride)
-	cd, dd := cols.Data(), dst.Data()
-	f := g.outShape[0]
-	for p := 0; p < g.positions; p++ {
-		field := cd[p*g.fan : (p+1)*g.fan]
-		for k := 0; k < f; k++ {
-			row := g.wdata[k*g.fan : (k+1)*g.fan]
-			s := 0.0
-			for j, xv := range field {
-				if xv != 0 {
-					s += row[j] * xv
-				}
-			}
-			if s > t {
-				dd[k*g.positions+p] = 1
-			} else {
-				dd[k*g.positions+p] = 0
-			}
-		}
-	}
-}
-
-// orPoolInto writes the OR pool of a 0/1 map ([c,h,w]) into dst
-// ([c, h/size, w/size]) with direct indexing; values match orPool.
-func orPoolInto(dst, bits *tensor.Tensor, size int) {
-	ch, h, w := bits.Dim(0), bits.Dim(1), bits.Dim(2)
-	oh, ow := dst.Dim(1), dst.Dim(2)
-	bd, dd := bits.Data(), dst.Data()
-	for c := 0; c < ch; c++ {
-		base := c * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				v := 0.0
-				for ky := 0; ky < size && v == 0; ky++ {
-					row := base + (oy*size+ky)*w + ox*size
-					for kx := 0; kx < size; kx++ {
-						if bd[row+kx] != 0 {
-							v = 1
-							break
-						}
-					}
-				}
-				dd[(c*oh+oy)*ow+ox] = v
-			}
+			return q.classifyFrom(a, from, rem.Data(), inShape[1], inShape[2], nil)
 		}
 	}
 }

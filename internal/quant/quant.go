@@ -14,6 +14,7 @@ package quant
 
 import (
 	"fmt"
+	"sync"
 
 	"sei/internal/nn"
 	"sei/internal/obs"
@@ -153,7 +154,9 @@ type StageEval interface {
 }
 
 // digitalEval is the exact software implementation of the binarized
-// network: Equ. (4) of the paper with float arithmetic.
+// network: Equ. (4) of the paper with float arithmetic. Whole stages
+// run on the gather kernel (convSums), which sums the same terms in the
+// same order as EvalConv.
 type digitalEval struct{ q *QuantizedNet }
 
 func (d digitalEval) EvalConv(l int, in []float64) []bool {
@@ -198,66 +201,194 @@ func (q *QuantizedNet) ForwardWith(eval StageEval, img *tensor.Tensor) []float64
 }
 
 // convStage applies conv stage l (matrix eval + binarize + OR pool) to
-// the current activation map and returns the next 0/1 map.
+// the current activation map and returns the next 0/1 map. The digital
+// evaluator runs the gather kernel (digitalStage); any other evaluator
+// — the crossbar simulators — is driven one receptive field at a time.
 func (q *QuantizedNet) convStage(eval StageEval, l int, cur *tensor.Tensor) *tensor.Tensor {
 	c := &q.Convs[l]
-	kh, kw := c.W.Dim(2), c.W.Dim(3)
-	cols := tensor.Im2Col(cur, kh, kw, c.Stride)
-	positions := cols.Dim(0)
-	h, w := cur.Dim(1), cur.Dim(2)
-	outH := (h-kh)/c.Stride + 1
-	outW := (w-kw)/c.Stride + 1
-	f := c.Filters()
-	bits := tensor.New(f, outH, outW)
-	fan := cols.Dim(1)
+	f, h, w := c.Filters(), cur.Dim(1), cur.Dim(2)
+	outH, outW, ph, pw := c.outDims(h, w)
+	out := tensor.New(f, ph, pw)
+	if _, ok := eval.(digitalEval); ok {
+		a := arenas.Get().(*stageArena)
+		q.digitalStage(l, out.Data(), cur.Data(), h, w, a, q.hw)
+		arenas.Put(a)
+		return out
+	}
+	cols := tensor.Im2Col(cur, c.W.Dim(2), c.W.Dim(3), c.Stride)
+	positions, fan := cols.Dim(0), cols.Dim(1)
+	bits := out
+	if c.PoolSize > 1 {
+		bits = tensor.New(f, outH, outW)
+	}
+	bd := bits.Data()
 	for p := 0; p < positions; p++ {
-		field := cols.Data()[p*fan : (p+1)*fan]
-		ob := eval.EvalConv(l, field)
-		oy, ox := p/outW, p%outW
-		for k, b := range ob {
+		for k, b := range eval.EvalConv(l, cols.Data()[p*fan:(p+1)*fan]) {
 			if b {
-				bits.Set(1, k, oy, ox)
+				bd[k*positions+p] = 1
 			}
 		}
 	}
 	if c.PoolSize > 1 {
-		bits = orPool(bits, c.PoolSize)
-		if h := q.hw; h != nil {
-			h.ORPool(int64(bits.Dim(0) * bits.Dim(1) * bits.Dim(2)))
-		}
+		orPoolInto(out.Data(), bd, f, outH, outW, c.PoolSize)
+		q.hw.ORPool(int64(out.Len()))
 	}
-	return bits
+	return out
 }
 
-// orPool reduces each size×size window to the OR of its bits — the
-// degenerate form of max pooling on 1-bit data (Section 3.1).
-func orPool(bits *tensor.Tensor, size int) *tensor.Tensor {
-	ch, h, w := bits.Dim(0), bits.Dim(1), bits.Dim(2)
+// outDims returns the stage's conv-output extents on an h×w input map
+// and its OR-pooled extents (the floor-division pool crops the edges).
+func (c *ConvSpec) outDims(h, w int) (outH, outW, ph, pw int) {
+	outH = (h-c.W.Dim(2))/c.Stride + 1
+	outW = (w-c.W.Dim(3))/c.Stride + 1
+	if c.PoolSize > 1 {
+		return outH, outW, outH / c.PoolSize, outW / c.PoolSize
+	}
+	return outH, outW, outH, outW
+}
+
+// stageArena is one goroutine's scratch for the digital kernel: the
+// gathered receptive field, pre-pool sums, ping-pong activation maps
+// and classifier scores, grown to the largest geometry seen and pooled
+// package-wide, so steady-state digital forward passes allocate nothing.
+type stageArena struct {
+	idx       []int32
+	val, sums []float64
+	maps      [2][]float64
+	y         []float64
+}
+
+var arenas = sync.Pool{New: func() any { return new(stageArena) }}
+
+// grow returns (*buf)[:n] with unspecified contents, reallocating when short.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// convSums writes conv stage c's analog sums on the [ch,h,w] map x into
+// dst ([filters, outH·outW]). Per output position it reads the
+// receptive field straight from x in Im2Col's channel-major order,
+// collects the nonzero (index, value) pairs once, and runs the
+// skip-zero dot of every filter over them: the same terms in the same
+// order as digitalEval.EvalConv, so the sums are IEEE-identical.
+func (a *stageArena) convSums(dst []float64, c *ConvSpec, x []float64, h, w int) {
+	f, ch, kh, kw, s := c.W.Dim(0), c.W.Dim(1), c.W.Dim(2), c.W.Dim(3), c.Stride
+	if len(x) != ch*h*w {
+		panic(fmt.Sprintf("quant: stage input has %d values, want %d×%d×%d", len(x), ch, h, w))
+	}
+	fan, wd := ch*kh*kw, c.W.Data()
+	outH, outW, _, _ := c.outDims(h, w)
+	positions := outH * outW
+	idx, val := grow(&a.idx, fan), grow(&a.val, fan)
+	for p := 0; p < positions; p++ {
+		oy, ox := p/outW, p%outW
+		n, j := 0, int32(0)
+		for c0 := 0; c0 < ch; c0++ {
+			for ky := 0; ky < kh; ky++ {
+				src := (c0*h+oy*s+ky)*w + ox*s
+				for _, v := range x[src : src+kw] {
+					if v != 0 {
+						idx[n], val[n] = j, v
+						n++
+					}
+					j++
+				}
+			}
+		}
+		for k := 0; k < f; k++ {
+			row := wd[k*fan : (k+1)*fan]
+			sum := 0.0
+			for i, v := range val[:n] {
+				sum += row[idx[i]] * v
+			}
+			dst[k*positions+p] = sum
+		}
+	}
+}
+
+// digitalStage runs binarized conv stage l on the [ch,h,w] map x into
+// dst ([filters, ph, pw] from outDims): the gather kernel's sums, then
+// binarizePool at the stage's current threshold.
+func (q *QuantizedNet) digitalStage(l int, dst, x []float64, h, w int, a *stageArena, hw *obs.HW) {
+	c := &q.Convs[l]
+	outH, outW, _, _ := c.outDims(h, w)
+	bits := dst
+	if c.PoolSize > 1 {
+		bits = grow(&a.sums, c.Filters()*outH*outW)
+	}
+	a.convSums(bits, c, x, h, w)
+	q.binarizePool(l, dst, bits, outH, outW, q.Thresholds[l], hw)
+}
+
+// binarizePool thresholds stage l's [filters, outH, outW] sums in place
+// at t and OR-pools them into dst (sums itself when unpooled), counting
+// the reductions on hw (nil = uncounted).
+func (q *QuantizedNet) binarizePool(l int, dst, sums []float64, outH, outW int, t float64, hw *obs.HW) {
+	for i, s := range sums {
+		if s > t {
+			sums[i] = 1
+		} else {
+			sums[i] = 0
+		}
+	}
+	if c := &q.Convs[l]; c.PoolSize > 1 {
+		orPoolInto(dst, sums, c.Filters(), outH, outW, c.PoolSize)
+		hw.ORPool(int64(len(dst)))
+	}
+}
+
+// classifyFrom runs the digital pipeline from conv stage `from` on the
+// [ch,h,w] map x through the FC classifier and returns the class.
+func (q *QuantizedNet) classifyFrom(a *stageArena, from int, x []float64, h, w int, hw *obs.HW) int {
+	for l := from; l < len(q.Convs); l++ {
+		c := &q.Convs[l]
+		_, _, ph, pw := c.outDims(h, w)
+		dst := grow(&a.maps[l%2], c.Filters()*ph*pw)
+		q.digitalStage(l, dst, x, h, w, a, hw)
+		x, h, w = dst, ph, pw
+	}
+	y := grow(&a.y, len(q.FC.B))
+	tensor.MatVecInto(y, q.FC.W, x)
+	for o, b := range q.FC.B {
+		y[o] += b
+	}
+	return argmaxFirst(y)
+}
+
+// orPoolInto writes the OR pool of a 0/1 map ([ch,h,w]) into dst
+// ([ch, h/size, w/size]): each size×size window reduces to the OR of
+// its bits — the degenerate form of max pooling on 1-bit data
+// (Section 3.1).
+func orPoolInto(dst, bits []float64, ch, h, w, size int) {
 	oh, ow := h/size, w/size
-	out := tensor.New(ch, oh, ow)
 	for c := 0; c < ch; c++ {
+		base := c * h * w
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				v := 0.0
 				for ky := 0; ky < size && v == 0; ky++ {
-					for kx := 0; kx < size; kx++ {
-						if bits.At(c, oy*size+ky, ox*size+kx) != 0 {
+					row := base + (oy*size+ky)*w + ox*size
+					for _, b := range bits[row : row+size] {
+						if b != 0 {
 							v = 1
 							break
 						}
 					}
 				}
-				out.Set(v, c, oy, ox)
+				dst[(c*oh+oy)*ow+ox] = v
 			}
 		}
 	}
-	return out
 }
 
 // Predict classifies one image with the exact digital evaluator.
 func (q *QuantizedNet) Predict(img *tensor.Tensor) int {
-	scores := q.ForwardWith(q.Digital(), img)
-	return tensor.FromSlice(scores, len(scores)).ArgMax()
+	a := arenas.Get().(*stageArena)
+	defer arenas.Put(a)
+	return q.classifyFrom(a, 0, img.Data(), img.Dim(1), img.Dim(2), q.hw)
 }
 
 // CloneForEval implements nn.ParallelClassifier. The digital evaluator
@@ -284,4 +415,13 @@ func (q *QuantizedNet) BinaryActivations(img *tensor.Tensor) []*tensor.Tensor {
 		acts = append(acts, cur)
 	}
 	return acts
+}
+
+// StageInput returns the 0/1 map entering conv stage l (the FC input at
+// l = len(Convs); img at l = 0) without running the stages after it.
+func (q *QuantizedNet) StageInput(img *tensor.Tensor, l int) *tensor.Tensor {
+	for s := 0; s < l; s++ {
+		img = q.convStage(q.Digital(), s, img)
+	}
+	return img
 }

@@ -110,11 +110,15 @@ func TestOrPool(t *testing.T) {
 		1, 1, 0, 0,
 		1, 1, 0, 0,
 	}, 1, 4, 4)
-	out := orPool(bits, 2)
+	out := make([]float64, 4)
+	for i := range out {
+		out[i] = -1 // every element must be overwritten
+	}
+	orPoolInto(out, bits.Data(), 1, 4, 4, 2)
 	want := []float64{0, 1, 1, 0}
 	for i, v := range want {
-		if out.Data()[i] != v {
-			t.Fatalf("orPool = %v, want %v", out.Data(), want)
+		if out[i] != v {
+			t.Fatalf("orPoolInto = %v, want %v", out, want)
 		}
 	}
 }
@@ -133,11 +137,24 @@ func TestPoolThenThresholdEqualsORPool(t *testing.T) {
 		pooled := maxPool(x, 2)
 		a := binarize(pooled, thr)
 		// Path B: threshold then OR-pool.
-		b := orPool(binarize(x, thr), 2)
+		b := tensor.New(2, 3, 3)
+		orPoolInto(b.Data(), binarize(x, thr).Data(), 2, 6, 6, 2)
 		if !tensor.EqualApprox(a, b, 0) {
 			t.Fatalf("trial %d: pool-then-threshold != threshold-then-OR", trial)
 		}
 	}
+}
+
+// maxPool is float max pooling into a fresh map.
+func maxPool(x *tensor.Tensor, size int) *tensor.Tensor {
+	out := tensor.New(x.Dim(0), x.Dim(1)/size, x.Dim(2)/size)
+	maxPoolInto(out, x, size)
+	return out
+}
+
+// binarize thresholds a real map into a fresh 0/1 map.
+func binarize(x *tensor.Tensor, t float64) *tensor.Tensor {
+	return binarizeInto(nil, x, t)
 }
 
 func TestBinarize(t *testing.T) {

@@ -54,9 +54,8 @@ func RecalibrateFC(q *QuantizedNet, train *mnist.Dataset, cfg RecalibrateConfig)
 	// order — gradients and logits stay bit-identical.
 	features := make([]*bitvec.Vec, train.Len())
 	par.ForEachRec(cfg.Obs, cfg.Workers, train.Len(), func(i int) {
-		acts := q.BinaryActivations(train.Images[i])
 		v := &bitvec.Vec{}
-		v.SetFloats(acts[len(acts)-1].Data())
+		v.SetFloats(q.StageInput(train.Images[i], len(q.Convs)).Data())
 		features[i] = v
 	})
 
@@ -66,11 +65,11 @@ func RecalibrateFC(q *QuantizedNet, train *mnist.Dataset, cfg RecalibrateConfig)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	idx := rng.Perm(train.Len())
 
-	// Gradient and logit buffers hoisted out of the batch loop; the
-	// serial SGD reuses them across every batch and epoch.
+	// Gradient, logit and probability buffers hoisted out of the batch
+	// loop; the serial SGD reuses them across every batch and epoch.
 	gw := make([]float64, len(w))
 	gb := make([]float64, len(b))
-	logits := make([]float64, out)
+	logits, p := make([]float64, out), make([]float64, out)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -79,12 +78,8 @@ func RecalibrateFC(q *QuantizedNet, train *mnist.Dataset, cfg RecalibrateConfig)
 			if end > len(idx) {
 				end = len(idx)
 			}
-			for i := range gw {
-				gw[i] = 0
-			}
-			for i := range gb {
-				gb[i] = 0
-			}
+			clear(gw)
+			clear(gb)
 			for _, s := range idx[start:end] {
 				x := features[s]
 				for o := 0; o < out; o++ {
@@ -95,7 +90,7 @@ func RecalibrateFC(q *QuantizedNet, train *mnist.Dataset, cfg RecalibrateConfig)
 					}
 					logits[o] = acc
 				}
-				p := nn.Softmax(logits)
+				nn.SoftmaxInto(p, logits)
 				p[train.Labels[s]] -= 1
 				for o := 0; o < out; o++ {
 					if p[o] == 0 {

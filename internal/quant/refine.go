@@ -78,8 +78,8 @@ func RefineThresholds(q *QuantizedNet, train *mnist.Dataset, cfg RefineConfig) (
 			bestT := orig
 			if ts := refineCandidates(orig, cfg.Step, cfg.Radius); len(ts) > 0 {
 				cfg.Obs.Counter(MetricRefineCandidates).Add(int64(len(ts)))
-				sweep := newRefineSweeper(q, l, sums)
-				counts := sweep(ts, data.Labels, cfg, &stats)
+				s, values := newStageSweep(q, l, sums, newBinaryRemainderEval)
+				counts := s.run(values, data.Labels, ts, cfg.Workers, cfg.Obs, &stats)
 				for c, t := range ts {
 					if acc := float64(counts[c]) / float64(data.Len()); acc > best {
 						best, bestT = acc, t
@@ -117,57 +117,16 @@ func refineCandidates(orig, step float64, radius int) []float64 {
 	return ts
 }
 
-// newRefineSweeper wires a crossSweep for refining conv stage l over
-// precomputed analog sums: the remainder evaluator is the binarized
-// tail of the pipeline, or the FC delta path when l is the last stage.
-func newRefineSweeper(q *QuantizedNet, l int, sums []*tensor.Tensor) func(ts []float64, labels []int, cfg RefineConfig, stats *SweepStats) []int {
-	outShape := sums[0].Shape()
-	pool := q.Convs[l].PoolSize
-	var newRem func() func(*tensor.Tensor) int
-	if l < len(q.Convs)-1 {
-		remShape := outShape
-		if pool > 1 {
-			remShape = []int{outShape[0], outShape[1] / pool, outShape[2] / pool}
-		}
-		newRem = newBinaryRemainderEval(q, l+1, remShape)
-	}
-	s := newCrossSweep(outShape, pool, q.FC.W, q.FC.B, newRem)
-	values := make([][]float64, len(sums))
-	for i, t := range sums {
-		values[i] = t.Data()
-	}
-	return func(ts []float64, labels []int, cfg RefineConfig, stats *SweepStats) []int {
-		return s.run(values, labels, ts, cfg.Workers, cfg.Obs, stats)
-	}
-}
-
-// stageSums computes conv stage c's pre-threshold analog sums on in,
-// accumulated in exactly digitalEval.EvalConv's skip-zero order, so
-// `sum > t` reproduces the binarized pipeline's bit for any candidate
-// t without re-running the convolution.
+// stageSums computes conv stage c's pre-threshold analog sums on in
+// with the digital pipeline's gather kernel, so `sum > t` reproduces the
+// binarized pipeline's bit for any candidate t without re-running the
+// convolution.
 func stageSums(c *ConvSpec, in *tensor.Tensor) *tensor.Tensor {
-	kh, kw := c.W.Dim(2), c.W.Dim(3)
-	cols := tensor.Im2Col(in, kh, kw, c.Stride)
-	positions, fan := cols.Dim(0), cols.Dim(1)
-	h, w := in.Dim(1), in.Dim(2)
-	outH := (h-kh)/c.Stride + 1
-	outW := (w-kw)/c.Stride + 1
-	f := c.Filters()
-	out := tensor.New(f, outH, outW)
-	od, cd, wd := out.Data(), cols.Data(), c.W.Data()
-	for p := 0; p < positions; p++ {
-		field := cd[p*fan : (p+1)*fan]
-		for k := 0; k < f; k++ {
-			row := wd[k*fan : (k+1)*fan]
-			s := 0.0
-			for j, x := range field {
-				if x != 0 {
-					s += row[j] * x
-				}
-			}
-			od[k*positions+p] = s
-		}
-	}
+	outH, outW, _, _ := c.outDims(in.Dim(1), in.Dim(2))
+	out := tensor.New(c.Filters(), outH, outW)
+	a := arenas.Get().(*stageArena)
+	a.convSums(out.Data(), c, in.Data(), in.Dim(1), in.Dim(2))
+	arenas.Put(a)
 	return out
 }
 
@@ -176,20 +135,11 @@ func stageSums(c *ConvSpec, in *tensor.Tensor) *tensor.Tensor {
 // output — and its OR-pool hardware accounting — without redoing the
 // convolution.
 func (q *QuantizedNet) advanceFromSums(l int, sums *tensor.Tensor, t float64) *tensor.Tensor {
-	bits := tensor.New(sums.Shape()...)
-	bd := bits.Data()
-	for i, v := range sums.Data() {
-		if v > t {
-			bd[i] = 1
-		}
-	}
+	bits := sums.Clone()
+	out := bits
 	if pool := q.Convs[l].PoolSize; pool > 1 {
-		pooled := tensor.New(bits.Dim(0), bits.Dim(1)/pool, bits.Dim(2)/pool)
-		orPoolInto(pooled, bits, pool)
-		if h := q.hw; h != nil {
-			h.ORPool(int64(pooled.Len()))
-		}
-		return pooled
+		out = tensor.New(bits.Dim(0), bits.Dim(1)/pool, bits.Dim(2)/pool)
 	}
-	return bits
+	q.binarizePool(l, out.Data(), bits.Data(), bits.Dim(1), bits.Dim(2), t, q.hw)
+	return out
 }

@@ -208,14 +208,18 @@ func searchThresholds(q *QuantizedNet, train *mnist.Dataset, cfg SearchConfig, f
 	for l := range q.Convs {
 		sp := cfg.Obs.StartSpan(fmt.Sprintf("search/conv%d", l))
 		// Step 1: stage outputs under the quantized prefix. Each
-		// sample's output lands in its own slot; the per-chunk maxima
-		// fold in chunk order (max is order-independent anyway).
+		// sample's output lands in its own slot, computed through
+		// per-chunk im2col scratch; the per-chunk maxima fold in chunk
+		// order (max is order-independent anyway).
 		convOut := make([]*tensor.Tensor, data.Len())
+		g := remainderGeometry(q, l, entries[0].Shape())[:1]
 		maxOut := par.MapReduceRec(cfg.Obs, cfg.Workers, data.Len(), par.DefaultChunkSize,
 			func(c par.Chunk) float64 {
+				b := &newRemStageBufs(g)[0]
 				m := 0.0
 				for i := c.Lo; i < c.Hi; i++ {
-					convOut[i] = floatConv(&q.Convs[l], entries[i])
+					g[0].conv(b, entries[i])
+					convOut[i] = b.out.Clone()
 					if v := convOut[i].Max(); v > m {
 						m = v
 					}
@@ -313,7 +317,8 @@ func newNaiveSweeper(q *QuantizedNet, l int, convOut []*tensor.Tensor, labels []
 					bits = binarizeInto(bits, convOut[i], t)
 					x := bits
 					if pool > 1 {
-						x = orPool(bits, pool)
+						x = tensor.New(bits.Dim(0), bits.Dim(1)/pool, bits.Dim(2)/pool)
+						orPoolInto(x.Data(), bits.Data(), bits.Dim(0), bits.Dim(1), bits.Dim(2), pool)
 					}
 					if floatRemainder(q, l+1, x) == labels[i] {
 						local++
@@ -342,11 +347,6 @@ func floatConv(c *ConvSpec, in *tensor.Tensor) *tensor.Tensor {
 	return prod.Reshape(c.Filters(), outH, outW)
 }
 
-// binarize thresholds a real map into a fresh 0/1 map.
-func binarize(x *tensor.Tensor, t float64) *tensor.Tensor {
-	return binarizeInto(nil, x, t)
-}
-
 // binarizeInto thresholds x into dst, overwriting every element; dst
 // is allocated when nil or of the wrong size, so sweep loops can reuse
 // one buffer across candidates and samples instead of allocating a
@@ -364,14 +364,6 @@ func binarizeInto(dst, x *tensor.Tensor, t float64) *tensor.Tensor {
 		}
 	}
 	return dst
-}
-
-// maxPool is float max pooling (used only in the float remainder of
-// the greedy search; the quantized pipeline uses orPool).
-func maxPool(x *tensor.Tensor, size int) *tensor.Tensor {
-	out := tensor.New(x.Dim(0), x.Dim(1)/size, x.Dim(2)/size)
-	maxPoolInto(out, x, size)
-	return out
 }
 
 // maxPoolInto writes the float max pool of x ([c,h,w]) into dst
@@ -414,8 +406,10 @@ func floatRemainder(q *QuantizedNet, from int, x *tensor.Tensor) int {
 				x.Data()[i] = 0
 			}
 		}
-		if q.Convs[l].PoolSize > 1 {
-			x = maxPool(x, q.Convs[l].PoolSize)
+		if pool := q.Convs[l].PoolSize; pool > 1 {
+			pooled := tensor.New(x.Dim(0), x.Dim(1)/pool, x.Dim(2)/pool)
+			maxPoolInto(pooled, x, pool)
+			x = pooled
 		}
 	}
 	y := tensor.MatVec(q.FC.W, x.Data())

@@ -427,21 +427,25 @@ const calibSeedBase int64 = 0xCA11B
 func (d *SEIDesign) collectCalibration(stage int, images []*tensor.Tensor, maxPositions, workers int, rec *obs.Recorder) []CalibrationSample {
 	q := d.Q
 	digital := q.Digital()
+	c := &q.Convs[stage]
+	fan := c.FanIn()
 	perImage := make([][]CalibrationSample, len(images))
 	par.ForEachRec(rec, workers, len(images), func(i int) {
-		acts := q.BinaryActivations(images[i])
-		in := acts[stage-1] // activation map entering this stage
-		c := &q.Convs[stage]
-		kh, kw := c.W.Dim(2), c.W.Dim(3)
-		cols := tensor.Im2Col(in, kh, kw, c.Stride)
+		in := q.StageInput(images[i], stage) // activation map entering this stage
+		cols := tensor.Im2Col(in, c.W.Dim(2), c.W.Dim(3), c.Stride)
 		positions := cols.Dim(0)
-		fan := cols.Dim(1)
 		step := 1
 		if maxPositions > 0 && positions > maxPositions {
 			step = positions / maxPositions
 		}
+		// One buffer holds every sampled field of the image.
+		n := (positions + step - 1) / step
+		fields := make([]float64, n*fan)
+		perImage[i] = make([]CalibrationSample, 0, n)
 		for p := 0; p < positions; p += step {
-			field := append([]float64(nil), cols.Data()[p*fan:(p+1)*fan]...)
+			field := fields[:fan:fan]
+			fields = fields[fan:]
+			copy(field, cols.Data()[p*fan:(p+1)*fan])
 			perImage[i] = append(perImage[i], CalibrationSample{
 				In:  field,
 				Ref: digital.EvalConv(stage, field),

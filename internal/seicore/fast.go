@@ -15,7 +15,7 @@ package seicore
 // hardware-counter totals. Every float accumulation visits rows in the
 // exact order of the float path's skip-zero loops, every counter is
 // recorded at the same logical event, and the fused OR pool writes the
-// same output bits as quant.orPool (OR is order-independent on bits).
+// same output bits as quant.orPoolInto (OR is order-independent on bits).
 // The path applies only to ideal-analog designs — no read noise, no IR
 // drop, no I-V nonlinearity (the Table 4/5 default device) — because
 // those effects perturb sums in ways the packed kernels do not model;
@@ -41,7 +41,7 @@ type stageGeom struct {
 }
 
 // fastGeometry chains the quantized net's stage shapes from InShape,
-// mirroring the shape arithmetic of quant.convStage/orPool (including
+// mirroring the shape arithmetic of quant.convStage/orPoolInto (including
 // the floor division that drops pool-uncovered edge rows).
 func fastGeometry(q *quant.QuantizedNet) []stageGeom {
 	inC, inH, inW := q.InShape[0], q.InShape[1], q.InShape[2]
@@ -170,7 +170,7 @@ func gatherBitWindow(in *bitvec.Vec, g *stageGeom, oy, ox int, dst *bitvec.Vec) 
 // poolSet writes one fired output bit into the (pool-fused) output
 // map: with pooling the bit lands OR-wise in its pool window's slot,
 // and positions in edge rows/columns the floor-division pool grid
-// never covers are dropped — exactly what quant.orPool computes.
+// never covers are dropped — exactly what quant.orPoolInto computes.
 func poolSet(out *bitvec.Vec, g *stageGeom, k, oy, ox int) {
 	py, px := oy, ox
 	if g.pool > 1 {
